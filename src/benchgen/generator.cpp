@@ -132,7 +132,16 @@ Floorplan3D generate(const BenchmarkSpec& spec, std::uint64_t seed,
     const std::size_t anchor = rng.index(n);
     std::vector<std::size_t> chosen{anchor};
     const std::size_t window = std::max<std::size_t>(8, n / 10);
+    // Distinct indices of the clamped window: a net anchored near either
+    // end of the module list reaches fewer than 2 * window + 1 modules,
+    // possibly fewer than its degree.
+    const std::size_t window_lo = anchor > window ? anchor - window : 0;
+    const std::size_t reachable =
+        std::min(n - 1, anchor + window) - window_lo + 1;
     while (chosen.size() < degree) {
+      // Every reachable index is taken: stop short of the degree.  Only
+      // for window < n -- tiny designs keep the duplicate-draw break below.
+      if (window < n && chosen.size() == reachable) break;
       const long offset =
           static_cast<long>(rng.index(2 * window + 1)) -
           static_cast<long>(window);

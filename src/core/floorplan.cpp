@@ -292,6 +292,11 @@ void Floorplan3D::set_die_bounds(std::size_t d, double width, double height) {
   die_bounds_valid_[d] = true;
 }
 
+Floorplan3D::LayoutStamp Floorplan3D::layout_stamp(std::size_t d) const {
+  ensure_die_caches();
+  return d < die_stamp_.size() ? die_stamp_[d] : LayoutStamp{};
+}
+
 bool Floorplan3D::layout_stamp_matches(std::size_t d, std::uint64_t family,
                                        std::uint64_t version) const {
   ensure_die_caches();

@@ -191,6 +191,14 @@ class Floorplan3D {
   /// LayoutState::apply_to): a (family, version) pair uniquely
   /// identifying the die content some layout state wrote.  family == 0
   /// never matches.
+  struct LayoutStamp {
+    std::uint64_t family = 0;  ///< 0 = no layout state wrote this die
+    std::uint64_t version = 0;
+  };
+  /// Die `d`'s current stamp ({0, 0} when none): lets caches outside the
+  /// database key per-die derived data (CostEvaluator's power maps) on
+  /// the exact module set and geometry the stamp pins.
+  [[nodiscard]] LayoutStamp layout_stamp(std::size_t d) const;
   [[nodiscard]] bool layout_stamp_matches(std::size_t d, std::uint64_t family,
                                           std::uint64_t version) const;
   void set_layout_stamp(std::size_t d, std::uint64_t family,
@@ -258,10 +266,6 @@ class Floorplan3D {
   std::vector<double> net_hpwl_cache_;               ///< weighted per-net hpwl
   std::vector<double> net_len_cache_;                ///< unweighted box length
   std::vector<std::uint64_t> net_hpwl_epoch_;        ///< epoch at compute, 0 = never
-  struct LayoutStamp {
-    std::uint64_t family = 0;  ///< 0 = no layout state wrote this die
-    std::uint64_t version = 0;
-  };
   mutable std::vector<LayoutStamp> die_stamp_;       ///< per die
   mutable std::vector<DieBounds> die_bounds_;        ///< per die
   mutable std::vector<bool> die_bounds_valid_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "leakage/pearson.hpp"
 #include "tsv/planner.hpp"
@@ -148,37 +150,98 @@ void CostEvaluator::scale_outline_weight(double factor) {
 }
 
 void CostEvaluator::measure_cheap(CostBreakdown& c) {
-  if (opt_.incremental) {
+  if (opt_.incremental)
     measure_layout_terms_incremental(c);
-    if (opt_.cross_check_interval > 0 &&
-        ++cheap_evals_ % opt_.cross_check_interval == 0) {
-      CostBreakdown ref;
-      measure_layout_terms_full(ref);
-      if (ref.bbox_area_ratio != c.bbox_area_ratio ||
-          ref.outline_penalty != c.outline_penalty ||
-          ref.fits_outline != c.fits_outline ||
-          ref.wirelength_um != c.wirelength_um ||
-          ref.delay_ns != c.delay_ns)
-        throw std::logic_error(
-            "CostEvaluator: incremental cheap terms diverged from the full "
-            "recompute -- some code moved modules without "
-            "note_module_moved()/invalidate_layout_caches()");
-    }
-  } else {
+  else
     measure_layout_terms_full(c);
-  }
 
   // Spatial entropy is the paper's cheap per-iteration leakage proxy
   // (Sec. 4.2): it needs no thermal analysis, so it is evaluated on
   // every move when the setup weights it.
   if (opt_.weights.entropy != 0.0) {
-    const std::size_t g = opt_.leakage_grid;
     c.entropy.clear();
-    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
-      c.entropy.push_back(leakage::spatial_entropy(
-          fp_.power_map(d, g, g), opt_.entropy_options));
-    }
+    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
+      c.entropy.push_back(die_map(d).entropy);
   }
+
+  if (opt_.incremental && opt_.cross_check_interval > 0 &&
+      ++cheap_evals_ % opt_.cross_check_interval == 0)
+    cross_check(c);
+}
+
+CostEvaluator::DieMapEntry* CostEvaluator::find_die_map(std::size_t d) {
+  if (!opt_.incremental || d >= die_maps_.size()) return nullptr;
+  const Floorplan3D::LayoutStamp stamp = fp_.layout_stamp(d);
+  if (stamp.family == 0) return nullptr;
+  for (DieMapEntry& e : die_maps_[d]) {
+    if (e.family == stamp.family && e.version == stamp.version &&
+        e.power_epoch == power_epoch_)
+      return &e;
+  }
+  return nullptr;
+}
+
+const CostEvaluator::DieMapEntry& CostEvaluator::die_map(std::size_t d) {
+  if (die_maps_.size() != fp_.tech().num_dies)
+    die_maps_.assign(fp_.tech().num_dies, {});
+  ++die_map_stats_.lookups;
+  ++die_map_tick_;
+  if (DieMapEntry* hit = find_die_map(d)) {
+    ++die_map_stats_.hits;
+    hit->last_use = die_map_tick_;
+    return *hit;
+  }
+  // Miss: rebuild into the least recently used slot.
+  auto& ring = die_maps_[d];
+  DieMapEntry* slot = &ring[0];
+  for (DieMapEntry& e : ring)
+    if (e.last_use < slot->last_use) slot = &e;
+  const Floorplan3D::LayoutStamp stamp = fp_.layout_stamp(d);
+  const std::size_t g = opt_.leakage_grid;
+  slot->family = opt_.incremental ? stamp.family : 0;
+  slot->version = stamp.version;
+  slot->power_epoch = power_epoch_;
+  slot->last_use = die_map_tick_;
+  slot->map = fp_.power_map(d, g, g);
+  slot->entropy = leakage::spatial_entropy(slot->map, opt_.entropy_options,
+                                           entropy_scratch_);
+  return *slot;
+}
+
+void CostEvaluator::cross_check(const CostBreakdown& c) {
+  // Die maps first: a stale entry means some code changed what a power
+  // map reads (module power, voltage_index, placement) without a new
+  // layout stamp or power epoch.  The rebuild runs the allocating
+  // entropy overload, independent of the evaluator's scratch.
+  const std::size_t g = opt_.leakage_grid;
+  for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
+    const DieMapEntry* e = find_die_map(d);
+    if (e == nullptr) continue;
+    const GridD fresh = fp_.power_map(d, g, g);
+    const double entropy =
+        leakage::spatial_entropy(fresh, opt_.entropy_options);
+    if (fresh.size() != e->map.size() ||
+        std::memcmp(fresh.data().data(), e->map.data().data(),
+                    fresh.size() * sizeof(double)) != 0 ||
+        std::memcmp(&entropy, &e->entropy, sizeof(double)) != 0)
+      throw std::logic_error(
+          "CostEvaluator: cached power map/entropy of die " +
+          std::to_string(d) +
+          " diverged from a fresh rebuild -- some code rewrote module "
+          "power or voltage_index without a power-epoch bump, or moved "
+          "modules without a new layout stamp");
+  }
+
+  CostBreakdown ref;
+  measure_layout_terms_full(ref);
+  if (ref.bbox_area_ratio != c.bbox_area_ratio ||
+      ref.outline_penalty != c.outline_penalty ||
+      ref.fits_outline != c.fits_outline ||
+      ref.wirelength_um != c.wirelength_um || ref.delay_ns != c.delay_ns)
+    throw std::logic_error(
+        "CostEvaluator: incremental cheap terms diverged from the full "
+        "recompute -- some code moved modules without "
+        "note_module_moved()/invalidate_layout_caches()");
 }
 
 void CostEvaluator::measure_voltage_raw(CostBreakdown& c) {
@@ -190,6 +253,8 @@ void CostEvaluator::measure_voltage_raw(CostBreakdown& c) {
   c.power_w = va.total_power_w;
   c.num_volumes = static_cast<double>(va.num_volumes());
   c.power_gradient = va.intra_density_stddev + va.inter_density_stddev;
+  // The rewritten voltages rescale every power map: retire the die cache.
+  ++power_epoch_;
 }
 
 void CostEvaluator::measure_voltage(CostBreakdown& c) {
@@ -205,9 +270,14 @@ void CostEvaluator::measure_thermal(CostBreakdown& c) {
 
   const std::size_t g = opt_.leakage_grid;
   std::vector<GridD> power_maps;
+  std::vector<double> entropy;
   power_maps.reserve(fp_.tech().num_dies);
-  for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
-    power_maps.push_back(fp_.power_map(d, g, g));
+  entropy.reserve(fp_.tech().num_dies);
+  for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
+    const DieMapEntry& e = die_map(d);
+    power_maps.push_back(e.map);
+    entropy.push_back(e.entropy);
+  }
   const GridD tsv_map = fp_.tsv_density_map(g, g);
   // Detailed in-loop thermal when an engine is wired up (successive
   // layouts differ by one move, so the warm-started solve is cheap);
@@ -220,13 +290,11 @@ void CostEvaluator::measure_thermal(CostBreakdown& c) {
 
   double peak = 0.0;
   c.correlation.clear();
-  c.entropy.clear();
   for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
     peak = std::max(peak, temps[d].max());
     c.correlation.push_back(leakage::pearson(power_maps[d], temps[d]));
-    c.entropy.push_back(
-        leakage::spatial_entropy(power_maps[d], opt_.entropy_options));
   }
+  c.entropy = std::move(entropy);
   c.peak_k_rise = std::max(0.0, peak - temps[0].min());
 
   cached_peak_rise_ = c.peak_k_rise;
@@ -375,8 +443,12 @@ void CostEvaluator::batch_stage() {
     tsv::place_signal_tsvs(fp_);
     const std::size_t g = opt_.leakage_grid;
     cand.power_maps.reserve(fp_.tech().num_dies);
-    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d)
-      cand.power_maps.push_back(fp_.power_map(d, g, g));
+    cand.entropy.reserve(fp_.tech().num_dies);
+    for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
+      const DieMapEntry& e = die_map(d);
+      cand.power_maps.push_back(e.map);
+      cand.entropy.push_back(e.entropy);
+    }
     cand.tsv_map = fp_.tsv_density_map(g, g);
   }
   batch_.push_back(std::move(cand));
@@ -417,14 +489,12 @@ std::vector<CostBreakdown> CostEvaluator::batch_evaluate() {
       const std::vector<GridD>& temps = solved[i];
       double peak = 0.0;
       c.correlation.clear();
-      c.entropy.clear();
       for (std::size_t d = 0; d < fp_.tech().num_dies; ++d) {
         peak = std::max(peak, temps[d].max());
         c.correlation.push_back(
             leakage::pearson(batch_[i].power_maps[d], temps[d]));
-        c.entropy.push_back(leakage::spatial_entropy(batch_[i].power_maps[d],
-                                                     opt_.entropy_options));
       }
+      c.entropy = batch_[i].entropy;
       c.peak_k_rise = std::max(0.0, peak - temps[0].min());
     }
   }
@@ -514,8 +584,10 @@ void CostEvaluator::restore_checkpoint_state(const CheckpointState& st) {
   norm_.entropy = st.norm_entropy;
   norm_.gradient = st.norm_gradient;
   norm_.ready = st.norm_ready;
-  // The value-keyed die-term cache self-heals; clear it so the first
-  // post-resume evaluation recomputes from the repacked bounds.
+  // The caller may have restored Module::voltage_index: retire the die
+  // map cache.  The value-keyed die-term cache self-heals; clear it so
+  // the first post-resume evaluation recomputes from the repacked bounds.
+  ++power_epoch_;
   die_terms_.clear();
   die_terms_outline_w_ = -1.0;
   die_terms_outline_h_ = -1.0;

@@ -16,6 +16,7 @@
 // refreshed at a configurable cadence (see annealer.hpp).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -161,8 +162,9 @@ class CostEvaluator {
   // rewrite; trial_rollback() restores them bitwise and trial_commit()
   // drops the journals.  The evaluator's own state needs no journal: the
   // expensive-term caches are refresh-cadence state that a rejected move
-  // leaves untouched in the classic loop too, and the per-die layout-term
-  // cache below is keyed on the cached bounds VALUES, so it self-heals
+  // leaves untouched in the classic loop too, the per-die layout-term
+  // cache below is keyed on the cached bounds VALUES, and the die map
+  // cache on the layout stamps a rollback restores, so both self-heal
   // after a rollback.  Trials do not nest and cannot overlap a batch
   // bracket's begin (batched staging runs each candidate inside its own
   // trial -- trial around batch_stage is the supported composition).
@@ -185,7 +187,8 @@ class CostEvaluator {
   // expensive terms between refreshes, the escalated outline weight, and
   // the cross-check cadence counter.  The value-keyed per-die layout-term
   // cache is deliberately absent -- it self-heals from the repacked
-  // bounds with identical arithmetic.
+  // bounds with identical arithmetic -- and so is the die map cache: the
+  // restore bumps its power epoch, so it rebuilds with identical bits.
 
   /// Everything restore_checkpoint_state() needs (see above).
   struct CheckpointState {
@@ -219,6 +222,16 @@ class CostEvaluator {
   /// when the search lingers in illegal (overhanging) regions of the
   /// space -- the standard fixed-outline SA remedy.
   [[nodiscard]] double outline_weight() const { return opt_.weights.outline; }
+  /// Lookups and hits of the per-die power-map/entropy cache (see
+  /// die_maps_ below) since construction.
+  struct DieMapStats {
+    std::uint64_t lookups = 0;
+    std::uint64_t hits = 0;
+  };
+  [[nodiscard]] const DieMapStats& die_map_stats() const {
+    return die_map_stats_;
+  }
+
   /// Multiply the outline weight.  Safe between evaluations because
   /// combine() applies the weights fresh on every call and every raw-term
   /// cache in this class stores weight-INDEPENDENT values -- no cache
@@ -232,10 +245,30 @@ class CostEvaluator {
   struct BatchCandidate {
     CostBreakdown c;
     std::vector<GridD> power_maps;  ///< per die, at leakage_grid
+    std::vector<double> entropy;    ///< per die, of power_maps
     GridD tsv_map;
   };
 
+  /// One cached die power map (at leakage_grid) and its spatial entropy.
+  struct DieMapEntry {
+    std::uint64_t family = 0;  ///< layout stamp; 0 = never hits
+    std::uint64_t version = 0;
+    std::uint64_t power_epoch = 0;
+    std::uint64_t last_use = 0;  ///< LRU tick
+    GridD map;
+    double entropy = 0.0;
+  };
+
   void measure_cheap(CostBreakdown& c);
+  /// Die `d`'s power map and entropy at the current layout: served from
+  /// the die cache on a key hit, rebuilt (and cached) otherwise.  The
+  /// reference stays valid until the next die_map(d) call.
+  const DieMapEntry& die_map(std::size_t d);
+  /// The cache entry die_map(d) would hit now, or nullptr.
+  DieMapEntry* find_die_map(std::size_t d);
+  /// The cross-check tripwire (see Options::cross_check_interval): throws
+  /// std::logic_error when a cached term differs from its fresh rebuild.
+  void cross_check(const CostBreakdown& c);
   /// The cheap layout terms (bbox/outline, wirelength, delay) by full
   /// rescan -- the seed path, kept verbatim as the incremental path's
   /// reference.
@@ -276,6 +309,30 @@ class CostEvaluator {
   std::vector<DieTermCache> die_terms_;
   double die_terms_outline_w_ = -1.0;  ///< outline the cache was built for
   double die_terms_outline_h_ = -1.0;
+
+  // --- per-die power-map / entropy cache (see die_map) -----------------
+  // Spatial entropy is scored for both dies on every move in TSC mode,
+  // yet most moves touch one die, and every thermal refresh re-reads the
+  // maps the cheap terms just built.  Each die keeps a small LRU ring of
+  // (power map, entropy) entries keyed on
+  //   (layout stamp family, layout stamp version, power_epoch_):
+  //  * the stamp pins the die's exact module set and geometry --
+  //    LayoutState::apply_to is its only writer and versions never repeat
+  //    within a family, so equal stamps imply bitwise-equal positions;
+  //  * power_epoch_ covers the one other power_map input the loop
+  //    rewrites, Module::voltage_index: measure_voltage_raw and
+  //    restore_checkpoint_state bump it.
+  // family == 0 (untracked states, Options::incremental off) never hits,
+  // so --incremental=off stays the uncached reference.  A rejected move
+  // rolls the stamps back and the pre-move entry, still in the ring, hits
+  // again -- self-healing like die_terms_, so no trial journal is needed.
+  // The cross-check tripwire rebuilds the entries it would serve.
+  static constexpr std::size_t kDieMapRing = 4;
+  std::vector<std::array<DieMapEntry, kDieMapRing>> die_maps_;
+  std::uint64_t power_epoch_ = 1;
+  std::uint64_t die_map_tick_ = 0;
+  DieMapStats die_map_stats_;
+  leakage::SpatialEntropyScratch entropy_scratch_;
 
   // Cached raw values of the expensive terms between refreshes.
   double cached_peak_rise_ = 0.0;

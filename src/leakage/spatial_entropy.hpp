@@ -62,13 +62,37 @@ struct SpatialEntropyResult {
   std::vector<PowerClass> classes;
 };
 
+/// Working memory of one spatial-entropy evaluation.  Every buffer keeps
+/// its capacity between calls, so repeated evaluations at one grid size
+/// allocate nothing (the annealing loop scores entropy on every move).
+/// Not thread-safe: one scratch per concurrent caller.
+struct SpatialEntropyScratch {
+  std::vector<double> sorted;  ///< sorted copy of the map's values
+  std::vector<double> cuts;    ///< nested-means cut points, ascending
+  std::vector<double> hist_x;  ///< per-class column histograms, class-major
+  std::vector<double> hist_y;  ///< per-class row histograms, class-major
+  std::vector<std::size_t> members;  ///< bins per class
+  std::vector<double> all_x, all_y;  ///< histograms over all bins
+  /// Prefix counts / weighted-coordinate sums of all_x and all_y, built
+  /// once per call and shared by every class's inter-class distance.
+  std::vector<double> all_cnt_x, all_wgt_x, all_cnt_y, all_wgt_y;
+  std::vector<double> cnt, wgt;  ///< prefix sums of one class histogram
+};
+
 /// Compute the spatial entropy of one die's power map.
 [[nodiscard]] SpatialEntropyResult spatial_entropy_detailed(
     const GridD& power, const SpatialEntropyOptions& options = {});
 
-/// Convenience wrapper returning only S_d.
+/// Convenience wrapper returning only S_d (local scratch).
 [[nodiscard]] double spatial_entropy(const GridD& power,
                                      const SpatialEntropyOptions& options = {});
+
+/// S_d through caller-owned scratch: bitwise-equal to the overloads above
+/// (one kernel serves all three), allocation-free once the scratch has
+/// seen the grid size and class count.
+[[nodiscard]] double spatial_entropy(const GridD& power,
+                                     const SpatialEntropyOptions& options,
+                                     SpatialEntropyScratch& scratch);
 
 /// Nested-means class boundaries for a sorted copy of `values`: returns
 /// cut points (ascending) delimiting the classes.  Exposed for testing.

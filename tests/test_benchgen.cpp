@@ -1,7 +1,10 @@
 // Tests of the Table 1 specs and the synthetic benchmark generator.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
+
+#include <unistd.h>
 
 #include "benchgen/generator.hpp"
 
@@ -113,6 +116,45 @@ TEST(Generator, NoDuplicateModulePinsWithinNet) {
           << "net " << n.id << " repeats module " << p.module;
     }
   }
+}
+
+// A net whose degree exceeds the distinct modules of its clamped index
+// window (anchor near either end of the module list) once made
+// generate() spin forever.  Each check runs in a forked child under a
+// per-seed alarm, so a regression fails instead of hanging the suite.
+void generate_all_or_die(const char* name,
+                         const std::vector<std::uint64_t>& seeds) {
+  for (const std::uint64_t seed : seeds) {
+    ::alarm(10);
+    (void)generate(name, seed);
+  }
+  std::exit(0);
+}
+
+TEST(GeneratorTermination, FormerlyHangingSeedsGenerate) {
+  const std::vector<std::uint64_t> seeds{282703973, 37786718, 420104968};
+  EXPECT_EXIT(generate_all_or_die("n100", seeds),
+              ::testing::ExitedWithCode(0), "");
+  if (HasFailure()) return;
+  // The capped nets stay well formed: distinct modules, degree >= 2.
+  for (const std::uint64_t seed : seeds) {
+    const Floorplan3D fp = generate("n100", seed);
+    for (const Net& n : fp.nets()) {
+      std::set<std::size_t> modules;
+      for (const NetPin& p : n.pins) {
+        if (p.is_terminal()) continue;
+        EXPECT_TRUE(modules.insert(p.module).second);
+      }
+      EXPECT_GE(modules.size(), 2u);
+    }
+  }
+}
+
+TEST(GeneratorTermination, N100SeedsOneToTwoThousandGenerate) {
+  std::vector<std::uint64_t> seeds;
+  for (std::uint64_t s = 1; s <= 2000; ++s) seeds.push_back(s);
+  EXPECT_EXIT(generate_all_or_die("n100", seeds),
+              ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Generator, TerminalsOnBoundary) {

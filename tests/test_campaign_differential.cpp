@@ -10,7 +10,10 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "attack/attacks.hpp"
 #include "attack/covert_channel.hpp"
@@ -55,8 +58,11 @@ struct Exploration {
 
 const Exploration& exploration() {
   static const Exploration exp = [] {
+    // Per-process directory: under ctest -j every test of this suite is
+    // its own process, and each builds this fixture concurrently.
     const fs::path dir =
-        fs::path(::testing::TempDir()) / "campaign_diff_exploration";
+        fs::path(::testing::TempDir()) /
+        ("campaign_diff_exploration." + std::to_string(::getpid()));
     fs::remove_all(dir);
     fs::create_directories(dir);
 
@@ -76,6 +82,7 @@ const Exploration& exploration() {
     e.stored = load.result;
     e.floorplan = rebuild_floorplan(
         e.job, config::ConfigFile::parse(kConfig, "fixture"), e.stored);
+    fs::remove_all(dir);
     return e;
   }();
   return exp;

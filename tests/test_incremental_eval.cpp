@@ -9,7 +9,8 @@
 //    pipeline ON must bitwise-reproduce runs with it OFF -- same RNG
 //    stream, same accepts, same best layout;
 //  * the debug cross-check must stay silent on a clean run and throw
-//    std::logic_error when layout writes bypass note_module_moved;
+//    std::logic_error when layout writes bypass note_module_moved, or
+//    when a voltage rewrite bypasses the evaluator's die map cache;
 //  * the IncrementalEvalParallel suite drives incremental state through
 //    batched parallel-tempering chains (runs under TSan on CI).
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -349,6 +351,117 @@ TEST(IncrementalEval, CrossCheckSilentOnCleanRunThrowsOnCorruption) {
 }
 
 // ---------------------------------------------------------------------------
+
+// --- per-die power-map / entropy cache -------------------------------------
+
+/// TSC-weighted evaluator fixture: entropy is scored on every cheap
+/// evaluation, so every cheap evaluation consults the die map cache.
+struct DieMapFixture {
+  Floorplan3D fp = small_instance(6);
+  ThermalConfig cfg = [] {
+    ThermalConfig c;
+    c.grid_nx = c.grid_ny = 16;
+    return c;
+  }();
+  thermal::GridSolver solver{fp.tech(), cfg};
+  thermal::PowerBlur blur{solver, 5};
+  fpn::CostEvaluator eval;
+  Rng rng{3};
+  fpn::LayoutState s;
+
+  explicit DieMapFixture(bool incremental = true)
+      : eval(fp, blur, [&] {
+          fpn::CostEvaluator::Options o;
+          o.weights = fpn::tsc_aware_weights();
+          o.leakage_grid = 16;
+          o.incremental = incremental;
+          o.cross_check_interval = 1;  // verify EVERY cheap evaluation
+          return o;
+        }()) {
+    s = fpn::LayoutState::initial(fp, rng);
+  }
+
+  /// One intra-die sequence-pair swap: touches exactly one die.
+  void one_die_move() {
+    fpn::SequencePair& sp = s.die_sp[rng.index(s.die_sp.size())];
+    const std::size_t i = rng.index(sp.size());
+    std::size_t j = rng.index(sp.size() - 1);
+    if (j >= i) ++j;
+    sp.swap_both(sp.positive()[i], sp.positive()[j]);
+    s.touch_die(s.die_of[sp.positive()[i]]);
+    s.apply_to(fp);
+  }
+};
+
+TEST(DieMapCache, TripwireSilentOnCleanRunFiresOnVoltageRewrite) {
+  DieMapFixture f;
+  f.s.apply_to(f.fp);
+  (void)f.eval.evaluate_full();
+  // Clean moves, with voltage reassignments through the evaluator
+  // (which bump its power epoch) mixed in, never trip the guard.
+  for (std::size_t step = 0; step < 40; ++step) {
+    f.one_die_move();
+    if (step % 10 == 9) {
+      EXPECT_NO_THROW((void)f.eval.evaluate_full());
+    } else {
+      EXPECT_NO_THROW((void)f.eval.evaluate_cheap());
+    }
+  }
+  // Rewriting a voltage level behind the evaluator's back leaves the
+  // layout stamps unchanged, so the cache would serve a stale map: the
+  // rebuild must catch it before the layout-term check runs.
+  std::size_t i = 0;
+  while (f.fp.modules()[i].power_w <= 0.0) ++i;
+  Module& m = f.fp.modules()[i];
+  m.voltage_index = m.voltage_index == 0 ? 1 : 0;
+  try {
+    (void)f.eval.evaluate_cheap();
+    FAIL() << "stale die map not caught";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("power map"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(DieMapCache, UntouchedAndRestoredDiesHit) {
+  DieMapFixture f;
+  f.s.apply_to(f.fp);
+  (void)f.eval.evaluate_full();
+  for (std::size_t step = 0; step < 30; ++step) {
+    f.one_die_move();
+    const fpn::CostEvaluator::DieMapStats before = f.eval.die_map_stats();
+    (void)f.eval.evaluate_cheap();
+    const fpn::CostEvaluator::DieMapStats after = f.eval.die_map_stats();
+    // One lookup per die; the die the move left alone hits.
+    EXPECT_EQ(after.lookups - before.lookups, 2u);
+    EXPECT_GE(after.hits - before.hits, 1u);
+  }
+  // A rejected move: re-applying the pre-move state restores its stamps,
+  // and the ring still holds the pre-move entry of the touched die.
+  const fpn::LayoutState pre = f.s;
+  f.one_die_move();
+  (void)f.eval.evaluate_cheap();
+  pre.apply_to(f.fp);
+  const fpn::CostEvaluator::DieMapStats before = f.eval.die_map_stats();
+  (void)f.eval.evaluate_cheap();
+  EXPECT_EQ(f.eval.die_map_stats().hits - before.hits, 2u);
+}
+
+TEST(DieMapCache, UntrackedOrNonIncrementalNeverHits) {
+  for (const bool incremental : {true, false}) {
+    DieMapFixture f(incremental);
+    if (incremental) f.s.disable_tracking();  // family 0 never hits
+    f.s.apply_to(f.fp);
+    (void)f.eval.evaluate_full();
+    for (std::size_t step = 0; step < 10; ++step) {
+      f.one_die_move();
+      (void)f.eval.evaluate_cheap();
+    }
+    EXPECT_GT(f.eval.die_map_stats().lookups, 0u);
+    EXPECT_EQ(f.eval.die_map_stats().hits, 0u) << "incremental "
+                                               << incremental;
+  }
+}
 
 TEST(MoveTransaction, EscalationBetweenCachedEvalsStaysExact) {
   // Outline-weight escalation between cached evaluations: the raw-term

@@ -2,10 +2,268 @@
 // nested-means classification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
+
+#include "core/rng.hpp"
 #include "leakage/spatial_entropy.hpp"
 
 namespace tsc3d::leakage {
 namespace {
+
+// The original allocating kernel, kept verbatim as the bitwise oracle for
+// the scratch-based one: per-call prefix vectors in ordered_pair_dist, a
+// sorted copy per nested-means call, per-class histogram vectors, and
+// the all-bins prefix sums rebuilt for every class.
+namespace reference {
+
+std::pair<double, double> mean_std(const std::vector<double>& values,
+                                   std::size_t lo, std::size_t hi) {
+  const auto n = static_cast<double>(hi - lo);
+  double sum = 0.0;
+  for (std::size_t i = lo; i < hi; ++i) sum += values[i];
+  const double mean = sum / n;
+  double var = 0.0;
+  for (std::size_t i = lo; i < hi; ++i) {
+    const double d = values[i] - mean;
+    var += d * d;
+  }
+  return {mean, std::sqrt(var / n)};
+}
+
+void nested_means_recurse(const std::vector<double>& sorted, std::size_t lo,
+                          std::size_t hi, std::size_t depth,
+                          double std_floor, std::size_t max_depth,
+                          std::vector<double>& cuts) {
+  if (hi - lo < 2 || depth >= max_depth) return;
+  const auto [mean, sd] = mean_std(sorted, lo, hi);
+  if (sd <= std_floor) return;
+  const auto it = std::lower_bound(sorted.begin() + static_cast<long>(lo),
+                                   sorted.begin() + static_cast<long>(hi),
+                                   mean);
+  const auto cut = static_cast<std::size_t>(it - sorted.begin());
+  if (cut == lo || cut == hi) return;
+  cuts.push_back(sorted[cut]);
+  nested_means_recurse(sorted, lo, cut, depth + 1, std_floor, max_depth, cuts);
+  nested_means_recurse(sorted, cut, hi, depth + 1, std_floor, max_depth, cuts);
+}
+
+double ordered_pair_dist(const std::vector<double>& c_a,
+                         const std::vector<double>& c_b) {
+  const std::size_t n = c_a.size();
+  std::vector<double> cnt(n + 1, 0.0), wgt(n + 1, 0.0);
+  for (std::size_t x = 0; x < n; ++x) {
+    cnt[x + 1] = cnt[x] + c_b[x];
+    wgt[x + 1] = wgt[x] + c_b[x] * static_cast<double>(x);
+  }
+  const double cnt_tot = cnt[n];
+  const double wgt_tot = wgt[n];
+  double total = 0.0;
+  for (std::size_t x = 0; x < n; ++x) {
+    if (c_a[x] == 0.0) continue;
+    const auto xf = static_cast<double>(x);
+    const double below = xf * cnt[x + 1] - wgt[x + 1];
+    const double above = (wgt_tot - wgt[x + 1]) - xf * (cnt_tot - cnt[x + 1]);
+    total += c_a[x] * (below + above);
+  }
+  return total;
+}
+
+std::vector<double> nested_means_cuts(std::vector<double> values,
+                                      double std_tolerance,
+                                      std::size_t max_depth) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  const auto [mean_all, sd_all] = mean_std(values, 0, values.size());
+  (void)mean_all;
+  std::vector<double> cuts;
+  nested_means_recurse(values, 0, values.size(), 0, std_tolerance * sd_all,
+                       max_depth, cuts);
+  std::sort(cuts.begin(), cuts.end());
+  return cuts;
+}
+
+SpatialEntropyResult spatial_entropy_detailed(
+    const GridD& power, const SpatialEntropyOptions& options) {
+  SpatialEntropyResult result;
+  const std::size_t nx = power.nx();
+  const std::size_t ny = power.ny();
+  const std::size_t n = nx * ny;
+  const std::vector<double> cuts = nested_means_cuts(
+      power.data(), options.std_tolerance, options.max_depth);
+  const std::size_t num_classes = cuts.size() + 1;
+  if (num_classes < 2) {
+    PowerClass c;
+    c.lo = power.min();
+    c.hi = power.max();
+    c.members = n;
+    result.classes.push_back(c);
+    return result;
+  }
+  std::vector<std::vector<double>> hist_x(num_classes,
+                                          std::vector<double>(nx, 0.0));
+  std::vector<std::vector<double>> hist_y(num_classes,
+                                          std::vector<double>(ny, 0.0));
+  std::vector<std::size_t> members(num_classes, 0);
+  for (std::size_t iy = 0; iy < ny; ++iy) {
+    for (std::size_t ix = 0; ix < nx; ++ix) {
+      const double v = power.at(ix, iy);
+      const auto it = std::upper_bound(cuts.begin(), cuts.end(), v);
+      const auto cls = static_cast<std::size_t>(it - cuts.begin());
+      hist_x[cls][ix] += 1.0;
+      hist_y[cls][iy] += 1.0;
+      ++members[cls];
+    }
+  }
+  std::vector<double> all_x(nx, 0.0), all_y(ny, 0.0);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    for (std::size_t x = 0; x < nx; ++x) all_x[x] += hist_x[c][x];
+    for (std::size_t y = 0; y < ny; ++y) all_y[y] += hist_y[c][y];
+  }
+  const auto n_total = static_cast<double>(n);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    if (members[c] == 0) continue;
+    PowerClass pc;
+    pc.members = members[c];
+    pc.lo = c == 0 ? power.min() : cuts[c - 1];
+    pc.hi = c == num_classes - 1 ? power.max() : cuts[c];
+    const auto n_c = static_cast<double>(members[c]);
+    const double intra_sum = ordered_pair_dist(hist_x[c], hist_x[c]) +
+                             ordered_pair_dist(hist_y[c], hist_y[c]);
+    const double intra_pairs = n_c * (n_c - 1.0);
+    pc.d_intra = intra_pairs > 0.0 ? intra_sum / intra_pairs : 0.0;
+    const double to_all = ordered_pair_dist(hist_x[c], all_x) +
+                          ordered_pair_dist(hist_y[c], all_y);
+    const double inter_sum = to_all - intra_sum;
+    const double inter_pairs = n_c * (n_total - n_c);
+    pc.d_inter = inter_pairs > 0.0 ? inter_sum / inter_pairs : 0.0;
+    const double p = n_c / n_total;
+    const double shannon_term = -p * std::log2(p);
+    result.shannon += shannon_term;
+    double weight = 0.0;
+    switch (options.ratio) {
+      case EntropyRatio::claramunt:
+        weight = pc.d_inter > 0.0 ? pc.d_intra / pc.d_inter : 0.0;
+        break;
+      case EntropyRatio::paper_literal: {
+        const double d_intra = pc.d_intra > 0.0 ? pc.d_intra : 1.0;
+        weight = pc.d_inter / d_intra;
+        break;
+      }
+    }
+    result.entropy += weight * shannon_term;
+    result.classes.push_back(pc);
+  }
+  return result;
+}
+
+}  // namespace reference
+
+/// Bit pattern of a double: EXPECT_EQ on doubles would accept 0.0 == -0.0.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every entry point of the kernel against the reference, bitwise.  The
+/// caller's scratch is shared across maps of different sizes and class
+/// counts, so stale buffer contents would show up here.
+void expect_matches_reference(const GridD& map,
+                              const SpatialEntropyOptions& opt,
+                              SpatialEntropyScratch& scratch) {
+  const SpatialEntropyResult ref =
+      reference::spatial_entropy_detailed(map, opt);
+  const SpatialEntropyResult got = spatial_entropy_detailed(map, opt);
+  EXPECT_EQ(bits(got.entropy), bits(ref.entropy));
+  EXPECT_EQ(bits(got.shannon), bits(ref.shannon));
+  ASSERT_EQ(got.classes.size(), ref.classes.size());
+  for (std::size_t c = 0; c < ref.classes.size(); ++c) {
+    EXPECT_EQ(bits(got.classes[c].lo), bits(ref.classes[c].lo)) << c;
+    EXPECT_EQ(bits(got.classes[c].hi), bits(ref.classes[c].hi)) << c;
+    EXPECT_EQ(got.classes[c].members, ref.classes[c].members) << c;
+    EXPECT_EQ(bits(got.classes[c].d_intra), bits(ref.classes[c].d_intra))
+        << c;
+    EXPECT_EQ(bits(got.classes[c].d_inter), bits(ref.classes[c].d_inter))
+        << c;
+  }
+  EXPECT_EQ(bits(spatial_entropy(map, opt)), bits(ref.entropy));
+  EXPECT_EQ(bits(spatial_entropy(map, opt, scratch)), bits(ref.entropy));
+  const std::vector<double> cuts =
+      nested_means_cuts(map.data(), opt.std_tolerance, opt.max_depth);
+  const std::vector<double> ref_cuts = reference::nested_means_cuts(
+      map.data(), opt.std_tolerance, opt.max_depth);
+  ASSERT_EQ(cuts.size(), ref_cuts.size());
+  for (std::size_t i = 0; i < cuts.size(); ++i)
+    EXPECT_EQ(bits(cuts[i]), bits(ref_cuts[i])) << i;
+}
+
+TEST(SpatialEntropyKernel, MatchesReferenceBitwiseOnRandomMaps) {
+  Rng rng(2024);
+  SpatialEntropyScratch scratch;
+  const std::pair<std::size_t, std::size_t> dims[] = {
+      {32, 32}, {16, 16}, {8, 24}, {40, 5}, {1, 7}, {7, 1}, {3, 3}, {32, 32}};
+  SpatialEntropyOptions claramunt;
+  claramunt.ratio = EntropyRatio::claramunt;
+  SpatialEntropyOptions fine;
+  fine.std_tolerance = 0.0;
+  fine.max_depth = 10;
+  const SpatialEntropyOptions options[] = {{}, claramunt, fine};
+  for (const auto& [nx, ny] : dims) {
+    for (std::size_t trial = 0; trial < 12; ++trial) {
+      GridD map(nx, ny, 0.0);
+      for (std::size_t i = 0; i < map.size(); ++i) {
+        switch (trial % 4) {
+          case 0:  // continuous, power-map-like spread
+            map[i] = rng.lognormal(0.0, 1.0);
+            break;
+          case 1:  // sparse: mostly empty bins
+            map[i] = rng.uniform() < 0.7 ? 0.0 : rng.uniform(0.0, 5.0);
+            break;
+          case 2:  // few discrete levels: many ties at the cuts
+            map[i] = static_cast<double>(rng.index(4));
+            break;
+          default:
+            map[i] = rng.uniform(-1.0, 1.0);
+            break;
+        }
+      }
+      for (const SpatialEntropyOptions& opt : options) {
+        SCOPED_TRACE(testing::Message() << nx << "x" << ny << " trial "
+                                        << trial);
+        expect_matches_reference(map, opt, scratch);
+      }
+    }
+  }
+}
+
+TEST(SpatialEntropyKernel, UniformAndSingleClassMapsMatchReference) {
+  SpatialEntropyScratch scratch;
+  // Warm the scratch with a many-class map first, so the single-class
+  // paths below run on dirty buffers.
+  GridD ramp(16, 16, 0.0);
+  for (std::size_t i = 0; i < ramp.size(); ++i)
+    ramp[i] = static_cast<double>(i);
+  expect_matches_reference(ramp, {}, scratch);
+
+  expect_matches_reference(GridD(16, 16, 0.0), {}, scratch);
+  expect_matches_reference(GridD(12, 5, 3.25), {}, scratch);
+  // Spread below the tolerance: one class despite distinct values.
+  GridD near_uniform(8, 8, 1.0);
+  near_uniform[5] = 1.0 + 1e-12;
+  SpatialEntropyOptions coarse;
+  coarse.std_tolerance = 1.0;
+  expect_matches_reference(near_uniform, coarse, scratch);
+  EXPECT_EQ(spatial_entropy_detailed(near_uniform, coarse).classes.size(), 1u);
+  // One hot bin in an empty map: a singleton class.
+  GridD spike(9, 4, 0.0);
+  spike.at(6, 2) = 7.0;
+  expect_matches_reference(spike, {}, scratch);
+  // Depth cap of zero: no cuts at all.
+  SpatialEntropyOptions flat;
+  flat.max_depth = 0;
+  expect_matches_reference(ramp, flat, scratch);
+}
 
 TEST(NestedMeans, UniformValuesProduceNoCuts) {
   const std::vector<double> v(64, 2.5);
